@@ -34,36 +34,8 @@ using namespace a2a::bench;
 
 namespace {
 
-struct RungStats {
-  std::vector<double> seconds;
-
-  void add(double s) { seconds.push_back(s); }
-  [[nodiscard]] double mean() const {
-    if (seconds.empty()) return 0.0;
-    double sum = 0.0;
-    for (const double s : seconds) sum += s;
-    return sum / static_cast<double>(seconds.size());
-  }
-  [[nodiscard]] double percentile(double p) const {
-    if (seconds.empty()) return 0.0;
-    std::vector<double> sorted = seconds;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-  }
-  [[nodiscard]] double min() const {
-    return seconds.empty() ? 0.0
-                           : *std::min_element(seconds.begin(), seconds.end());
-  }
-  [[nodiscard]] double max() const {
-    return seconds.empty() ? 0.0
-                           : *std::max_element(seconds.begin(), seconds.end());
-  }
-};
-
 struct StreamResult {
-  RungStats per_rung[4];
+  Samples per_rung[4];
   int served = 0;
   int invalid_served = 0;
   int deadline_violations = 0;
@@ -122,23 +94,11 @@ StreamResult drive_event_stream(FailoverManager& mgr, const DiGraph& g,
 
 const char* kRungNames[4] = {"hit", "dual_warm_exact", "fptas", "degraded"};
 
-std::string format_seconds(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3fs", s);
-  }
-  return buf;
-}
-
 void print_stream(const char* label, const StreamResult& s) {
   std::cout << "\n--- " << label << " ---\n";
   Table table({"rung", "count", "mean", "min", "p50", "p99", "max"});
   for (int rung = 0; rung < 4; ++rung) {
-    const RungStats& st = s.per_rung[rung];
+    const Samples& st = s.per_rung[rung];
     table.row()
         .cell(kRungNames[rung])
         .cell(static_cast<long long>(st.seconds.size()))
@@ -160,7 +120,7 @@ void stream_json(std::ostringstream& js, const StreamResult& s) {
      << s.deadline_violations << ", \"skipped_disconnected\": "
      << s.skipped_disconnected << ", \"rungs\": {";
   for (int rung = 0; rung < 4; ++rung) {
-    const RungStats& st = s.per_rung[rung];
+    const Samples& st = s.per_rung[rung];
     js << "\"" << kRungNames[rung] << "\": {\"count\": " << st.seconds.size()
        << ", \"mean_s\": " << st.mean() << ", \"min_s\": " << st.min()
        << ", \"p50_s\": " << st.percentile(0.5)
@@ -209,7 +169,7 @@ int main(int argc, char** argv) {
             << "\n";
 
   // Pure hit-path latency: a precomputed single-link signature, repeatedly.
-  RungStats hit_path;
+  Samples hit_path;
   {
     FailureSignature probe;
     for (const FailureSignature& sig : domain) {

@@ -23,13 +23,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
 #include "service/admission.hpp"
@@ -39,58 +37,6 @@ using namespace a2a;
 using namespace a2a::bench;
 
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("a2a_bench_service_" + std::to_string(::getpid()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
-
-struct LatStats {
-  std::vector<double> seconds;
-
-  void add(double s) { seconds.push_back(s); }
-  [[nodiscard]] double percentile(double p) const {
-    if (seconds.empty()) return 0.0;
-    std::vector<double> sorted = seconds;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-  }
-  [[nodiscard]] double mean() const {
-    if (seconds.empty()) return 0.0;
-    double sum = 0.0;
-    for (const double s : seconds) sum += s;
-    return sum / static_cast<double>(seconds.size());
-  }
-  [[nodiscard]] double max() const {
-    return seconds.empty() ? 0.0
-                           : *std::max_element(seconds.begin(), seconds.end());
-  }
-};
-
-std::string format_seconds(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3fs", s);
-  }
-  return buf;
-}
 
 /// Mints a fingerprint this process has not used: path_diversity_threshold
 /// is fingerprint-relevant but, at values far above GenKautz(27,4)'s actual
@@ -103,7 +49,7 @@ ToolchainOptions fresh_options() {
   return options;
 }
 
-void lat_json(std::ostringstream& js, const char* name, const LatStats& st) {
+void lat_json(std::ostringstream& js, const char* name, const Samples& st) {
   js << "\"" << name << "\": {\"count\": " << st.seconds.size()
      << ", \"mean_s\": " << st.mean() << ", \"p50_s\": " << st.percentile(0.5)
      << ", \"p99_s\": " << st.percentile(0.99) << ", \"max_s\": " << st.max()
@@ -123,12 +69,11 @@ int main(int argc, char** argv) {
   std::cout << "=== Schedule service: zero-copy hits, coalescing, mixed "
                "traffic ===\n";
 
-  TempDir dir;
+  TempDir dir("a2a_bench_service");
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = (dir.path / "cache").string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
 
   const DiGraph g27 = make_generalized_kautz(27, 4);
@@ -147,7 +92,7 @@ int main(int argc, char** argv) {
             << cold.view.envelope.size() << " bytes\n";
   const double cold_synth_s = cold.total_seconds;
 
-  LatStats hit_path;
+  Samples hit_path;
   const int hit_reps = smoke ? 200 : 2000;
   bool hit_path_clean = true;
   for (int i = 0; i < hit_reps; ++i) {
@@ -218,7 +163,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t mixed_runs_before = pipeline_invocations();
   std::mutex stats_mutex;
-  LatStats mixed_hit, mixed_miss, mixed_coalesced;
+  Samples mixed_hit, mixed_miss, mixed_coalesced;
   std::atomic<int> served{0}, rejected{0}, shed{0}, failed{0};
   std::atomic<int> mixed_ready{0};
   std::vector<std::thread> threads;
@@ -267,7 +212,7 @@ int main(int argc, char** argv) {
   std::cout << "\n--- mixed traffic: " << workers << " workers x "
             << reps_per_worker << " requests ---\n";
   Table table({"class", "count", "mean", "p50", "p99", "max"});
-  const struct { const char* name; const LatStats* st; } rows[] = {
+  const struct { const char* name; const Samples* st; } rows[] = {
       {"hit", &mixed_hit}, {"miss", &mixed_miss},
       {"coalesced", &mixed_coalesced}};
   for (const auto& row : rows) {

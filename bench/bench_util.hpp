@@ -1,9 +1,14 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -43,6 +48,69 @@ double timed(Fn&& fn) {
   fn();
   return now_seconds() - t0;
 }
+
+/// Every sample of one latency series, kept exactly (no histogram
+/// buckets). percentile(p) is the sample at rank round(p * (n - 1)) of the
+/// sorted series; an empty series reads 0 everywhere.
+struct Samples {
+  std::vector<double> seconds;
+
+  void add(double s) { seconds.push_back(s); }
+  [[nodiscard]] double percentile(double p) const {
+    if (seconds.empty()) return 0.0;
+    std::vector<double> sorted = seconds;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t idx = static_cast<std::size_t>(
+        p * static_cast<double>(sorted.size() - 1) + 0.5);
+    return sorted[std::min(idx, sorted.size() - 1)];
+  }
+  [[nodiscard]] double mean() const {
+    if (seconds.empty()) return 0.0;
+    double sum = 0.0;
+    for (const double s : seconds) sum += s;
+    return sum / static_cast<double>(seconds.size());
+  }
+  [[nodiscard]] double min() const {
+    return seconds.empty() ? 0.0
+                           : *std::min_element(seconds.begin(), seconds.end());
+  }
+  [[nodiscard]] double max() const {
+    return seconds.empty() ? 0.0
+                           : *std::max_element(seconds.begin(), seconds.end());
+  }
+};
+
+/// "12.3us" / "4.56ms" / "1.234s".
+inline std::string format_seconds(double s) {
+  char buf[32];
+  if (s < 1e-3) {
+    std::snprintf(buf, sizeof(buf), "%.1fus", s * 1e6);
+  } else if (s < 1.0) {
+    std::snprintf(buf, sizeof(buf), "%.2fms", s * 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.3fs", s);
+  }
+  return buf;
+}
+
+/// `<tmp>/<name>_<pid>`, emptied on construction and removed with its
+/// contents on destruction.
+struct TempDir {
+  std::filesystem::path path;
+
+  explicit TempDir(const std::string& name) {
+    path = std::filesystem::temp_directory_path() /
+           (name + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+};
 
 /// Buffer-size sweep matching the paper's x-axes (per-node buffer bytes).
 inline std::vector<double> buffer_sweep(int lo_pow, int hi_pow, int step = 3) {

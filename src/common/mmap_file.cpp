@@ -20,6 +20,8 @@ MmapFile::MmapFile(const std::string& path) {
     throw InvalidArgument("cannot stat file for mmap: " + path);
   }
   size_ = static_cast<std::size_t>(st.st_size);
+  device_ = static_cast<std::uint64_t>(st.st_dev);
+  inode_ = static_cast<std::uint64_t>(st.st_ino);
   if (size_ > 0) {
     void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
     if (map == MAP_FAILED) {
@@ -38,13 +40,17 @@ MmapFile::~MmapFile() {
 
 MmapFile::MmapFile(MmapFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
+      size_(std::exchange(other.size_, 0)),
+      device_(std::exchange(other.device_, 0)),
+      inode_(std::exchange(other.inode_, 0)) {}
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this != &other) {
     if (data_ != nullptr) ::munmap(data_, size_);
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    device_ = std::exchange(other.device_, 0);
+    inode_ = std::exchange(other.inode_, 0);
   }
   return *this;
 }

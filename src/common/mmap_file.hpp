@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -30,10 +31,16 @@ class MmapFile {
     return {static_cast<const char*>(data_), size_};
   }
   [[nodiscard]] std::size_t size() const { return size_; }
+  /// Identity of the file that was mapped (st_dev, st_ino at open time):
+  /// tells the mapped file apart from one later renamed over its path.
+  [[nodiscard]] std::uint64_t device() const { return device_; }
+  [[nodiscard]] std::uint64_t inode() const { return inode_; }
 
  private:
   void* data_ = nullptr;
   std::size_t size_ = 0;
+  std::uint64_t device_ = 0;
+  std::uint64_t inode_ = 0;
 };
 
 }  // namespace a2a

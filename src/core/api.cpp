@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "core/schedule_cache.hpp"
 #include "graph/algorithms.hpp"
@@ -61,12 +62,6 @@ GeneratedSchedule generate_schedule(const DiGraph& topology,
   GeneratedSchedule result = synthesize_schedule(topology, fabric, options);
   cache->insert(fingerprint, result);
   return result;
-}
-
-GeneratedSchedule generate_schedule(const DiGraph& topology,
-                                    const Fabric& fabric,
-                                    const ToolchainOptions& options) {
-  return synthesize_schedule(topology, fabric, options);
 }
 
 GeneratedSchedule synthesize_schedule(const DiGraph& topology,
@@ -169,33 +164,30 @@ GeneratedSchedule synthesize_schedule(const DiGraph& topology,
                            std::to_string(diversity) + " <= threshold)");
     const PathSet candidates =
         build_disjoint_path_set(topology, terminals, demand);
-    if (n <= options.mcf.exact_master_limit) {
-      const PathMcfSolution sol = [&] {
+    // The master solver is the only difference between the branches: both
+    // yield per-candidate weights and F, compiled the same way.
+    const auto [weights, flow] =
+        [&]() -> std::pair<std::vector<std::vector<double>>, double> {
+      if (n <= options.mcf.exact_master_limit) {
         A2A_TRACE_SPAN("stage.solve", "exact pMCF LP");
-        return solve_path_mcf_exact(topology, candidates, options.mcf.lp);
-      }();
-      schedule = [&] {
-        A2A_TRACE_SPAN("stage.compile", "path schedule");
-        return compile_path_schedule(topology, candidates, sol.weights,
-                                     options.chunking);
-      }();
-      out.concurrent_flow = sol.concurrent_flow;
-    } else {
+        PathMcfSolution sol =
+            solve_path_mcf_exact(topology, candidates, options.mcf.lp);
+        return {std::move(sol.weights), sol.concurrent_flow};
+      }
       pipeline_span.annotate("pMCF master via Fleischer FPTAS (n > "
                              "exact_master_limit)");
       FleischerOptions fo = options.mcf.fptas;
       fo.epsilon = options.mcf.fptas_epsilon;
-      const PathFlowSolution sol = [&] {
-        A2A_TRACE_SPAN("stage.solve", "Fleischer FPTAS");
-        return fleischer_paths(topology, candidates, fo);
-      }();
-      schedule = [&] {
-        A2A_TRACE_SPAN("stage.compile", "path schedule");
-        return compile_path_schedule(topology, candidates, sol.weights,
-                                     options.chunking);
-      }();
-      out.concurrent_flow = sol.concurrent_flow;
+      A2A_TRACE_SPAN("stage.solve", "Fleischer FPTAS");
+      PathFlowSolution sol = fleischer_paths(topology, candidates, fo);
+      return {std::move(sol.weights), sol.concurrent_flow};
+    }();
+    {
+      A2A_TRACE_SPAN("stage.compile", "path schedule");
+      schedule = compile_path_schedule(topology, candidates, weights,
+                                       options.chunking);
     }
+    out.concurrent_flow = flow;
     out.kind = ScheduleKind::kPathPMcf;
     out.notes += "pMCF on link-disjoint candidates";
   } else {

@@ -1,5 +1,6 @@
 #include "core/schedule_cache.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -186,26 +187,6 @@ std::string schedule_fingerprint(const DiGraph& topology, const Fabric& fabric,
 std::string schedule_content_key(std::string_view bytes) {
   return hex128(fnv1a(bytes, 0x5bd1e995ULL),
                 fnv1a(bytes, 0xc2b2ae3d27d4eb4fULL));
-}
-
-std::size_t schedule_memory_bytes(const GeneratedSchedule& s) {
-  std::size_t bytes = sizeof(GeneratedSchedule);
-  if (s.link.has_value()) {
-    bytes += sizeof(LinkSchedule) + s.link->transfers.size() * sizeof(Transfer);
-  }
-  if (s.path.has_value()) {
-    bytes += sizeof(PathSchedule) + s.path->entries.size() * sizeof(RouteEntry);
-    for (const RouteEntry& e : s.path->entries) {
-      bytes += e.path.size() * sizeof(EdgeId);
-    }
-  }
-  bytes += s.terminals.size() * sizeof(NodeId);
-  bytes += s.notes.size();
-  // Graph adjacency: the edge array plus one EdgeId per direction in the
-  // out/in adjacency lists.
-  bytes += static_cast<std::size_t>(s.schedule_graph.num_edges()) *
-           (sizeof(Edge) + 2 * sizeof(EdgeId));
-  return bytes;
 }
 
 // ------------------------------------------------------- entry envelope ---
@@ -434,155 +415,231 @@ std::string ScheduleCache::entry_path(const std::string& fingerprint) const {
 std::optional<GeneratedSchedule> ScheduleCache::lookup(
     const std::string& fingerprint) {
   obs::TraceSpan span("cache.lookup");
-  A2A_COUNTER("cache.lookups").inc();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lookups;
-    if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
-      ++stats_.memory_hits;
-      A2A_COUNTER("cache.memory_hits").inc();
-      span.annotate("memory hit");
-      touch_locked(fingerprint);
-      return it->second.schedule;
+  Tier tier = Tier::kMiss;
+  Origin origin;
+  std::optional<GeneratedSchedule> out;
+  if (const auto view = resolve(fingerprint, tier, origin)) {
+    // std::exception, not just Error: a corrupt payload can trip a
+    // length_error/bad_alloc in the decoder before the CRC rejects it.
+    try {
+      out = generated_schedule_from_bytes(view->envelope);
+    } catch (const std::exception&) {
+      quarantine(fingerprint, *view, origin);
+      tier = Tier::kMiss;
     }
   }
-  // Disk read + decode happen outside the mutex so slow I/O never blocks
-  // other consumers' memory-tier hits.
-  if (!options_.disk_dir.empty()) {
-    bool had_ref = false;
-    const std::string path =
-        resolve_entry(options_.disk_dir, fingerprint, &had_ref);
-    if (!path.empty()) {
-      if (const auto bytes = read_file(path)) {
-        // A corrupt disk entry is a miss, not an error: the artifact is
-        // quarantined (kept for forensics, never served again), its ref
-        // dropped, and the caller re-synthesizes and overwrites it.
-        // std::exception, not just Error: a truncated or foreign payload
-        // can trip a length_error/bad_alloc in the decoder before the CRC
-        // gets a chance to reject it.
-        try {
-          GeneratedSchedule schedule = generated_schedule_from_bytes(*bytes);
-          // Refresh the artifact's age — but only where the GC will ever
-          // read it: with an unbounded tier this would be a pointless
-          // mtime-write syscall on every hot-path hit.
-          if (options_.max_disk_bytes > 0) {
-            std::error_code ec;
-            fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-          }
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_hits;
-          A2A_COUNTER("cache.disk_hits").inc();
-          span.annotate("disk hit");
-          insert_memory_locked(fingerprint, schedule);
-          return schedule;
-        } catch (const std::exception&) {
-          {
-            std::lock_guard<std::mutex> disk_lock(disk_mutex_);
-            quarantine_object(options_.disk_dir, path);
-          }
-          std::error_code ec;
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_corrupt;
-          A2A_COUNTER("cache.disk_corrupt").inc();
-          span.annotate("corrupt artifact quarantined");
-        }
-      }
-    } else if (had_ref) {
-      // Dangling ref (its artifact was GC'ed by another process): drop it.
-      std::error_code ec;
-      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-    }
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  A2A_COUNTER("cache.misses").inc();
-  span.annotate("miss");
-  return std::nullopt;
+  count(tier);
+  span.annotate(tier == Tier::kMemory ? "memory hit"
+                : tier == Tier::kDisk ? "disk hit"
+                                      : "miss");
+  return out;
 }
 
 std::optional<ArtifactView> ScheduleCache::lookup_artifact(
     const std::string& fingerprint) {
-  obs::TraceSpan span("cache.lookup_artifact");
-  A2A_COUNTER("cache.lookups").inc();
+  Tier tier = Tier::kMiss;
+  Origin origin;
+  auto view = resolve(fingerprint, tier, origin);
+  count(tier);
+  return view;
+}
+
+namespace {
+
+using SteadyClock = std::chrono::steady_clock;
+
+/// How often a memory entry backed by a disk artifact checks that file.
+constexpr auto kRevalidateAge = std::chrono::seconds(1);
+
+/// (st_dev, st_ino) of the file `path` names now; nullopt when it cannot be
+/// stat'ed (removed, quarantined).
+std::optional<std::pair<std::uint64_t, std::uint64_t>> file_identity(
+    const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return std::pair{static_cast<std::uint64_t>(st.st_dev),
+                   static_cast<std::uint64_t>(st.st_ino)};
+}
+
+/// `view` re-pointed at `bytes`, a heap copy of its envelope.
+ArtifactView on_heap(ArtifactView view,
+                     std::shared_ptr<const std::string> bytes) {
+  view.mapping.reset();
+  view.envelope = *bytes;
+  view.bytes = std::move(bytes);
+  return view;
+}
+
+}  // namespace
+
+bool ScheduleCache::DiskOrigin::current() const {
+  return file_identity(path) == std::pair{device, inode};
+}
+
+std::optional<ArtifactView> ScheduleCache::resolve(
+    const std::string& fingerprint, Tier& tier, Origin& origin) {
+  tier = Tier::kMiss;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.lookups;
-  }
-  if (!options_.disk_dir.empty()) {
-    bool had_ref = false;
-    const std::string path =
-        resolve_entry(options_.disk_dir, fingerprint, &had_ref);
-    if (!path.empty()) {
-      try {
-        auto mapping = std::make_shared<const MmapFile>(path);
-        ArtifactView view = parse_schedule_envelope(mapping->view());
-        // Header/trailer validation of the inner frame touches its first
-        // and last pages only; chunk payloads keep their own CRCs for the
-        // eventual decoder. An empty blob (a schedule with neither link nor
-        // path — never produced, but representable) has nothing to check.
-        if (view.blob_size > 0) {
-          (void)SchedBinReader::from_bytes(view.schedbin());
-        }
-        view.mapping = std::move(mapping);
-        if (options_.max_disk_bytes > 0) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (const auto it = entries_.find(fingerprint); it != entries_.end()) {
+      Entry& entry = it->second;
+      lru_.splice(lru_.begin(), lru_, entry.lru_it);
+      ArtifactView view = entry.view;
+      origin = entry.origin;
+      const bool recheck =
+          origin && SteadyClock::now() - entry.checked >= kRevalidateAge;
+      if (recheck) entry.checked = SteadyClock::now();
+      lock.unlock();
+      if (!recheck || origin->current()) {
+        // The served artifact's age, refreshed where the GC reads it: the
+        // most-served schedules never leave memory, and would otherwise
+        // look like the oldest on disk.
+        if (recheck && options_.max_disk_bytes > 0) {
           std::error_code ec;
-          fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+          fs::last_write_time(origin->path, fs::file_time_type::clock::now(),
+                              ec);
         }
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.disk_hits;
-        A2A_COUNTER("cache.disk_hits").inc();
-        span.annotate("disk hit (zero-copy)");
+        tier = Tier::kMemory;
         return view;
-      } catch (const std::exception&) {
-        std::error_code ec;
-        if (!fs::exists(path, ec)) {
-          // Not corruption: the object vanished between resolve and mmap
-          // (a concurrent GC won the race). Drop the dangling ref and
-          // degrade to a clean miss.
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          span.annotate("lost race with disk GC");
-        } else {
-          // Same corrupt-artifact contract as lookup(): quarantine, drop
-          // the ref, degrade to a miss so the caller re-synthesizes.
-          {
-            std::lock_guard<std::mutex> disk_lock(disk_mutex_);
-            quarantine_object(options_.disk_dir, path);
-          }
-          fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.disk_corrupt;
-          A2A_COUNTER("cache.disk_corrupt").inc();
-          span.annotate("corrupt artifact quarantined");
-        }
       }
-    } else if (had_ref) {
+      // Another process garbage-collected, quarantined or replaced the
+      // artifact: stop serving this copy and re-resolve against the disk.
+      lock.lock();
+      if (const auto again = entries_.find(fingerprint);
+          again != entries_.end() && again->second.origin == origin) {
+        erase_locked(fingerprint);
+        A2A_GAUGE("cache.memory_bytes")
+            .set(static_cast<std::int64_t>(memory_bytes_));
+      }
+    }
+  }
+  origin.reset();
+  if (options_.disk_dir.empty()) return std::nullopt;
+  // Disk I/O happens outside the mutex so slow reads never block other
+  // consumers' memory-tier hits.
+  obs::TraceSpan span("cache.lookup_artifact");
+  bool had_ref = false;
+  const std::string path =
+      resolve_entry(options_.disk_dir, fingerprint, &had_ref);
+  std::error_code ec;
+  if (path.empty()) {
+    // A ref without its artifact is dangling (another process GC'ed the
+    // object): drop it.
+    if (had_ref) fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+    span.annotate("miss");
+    return std::nullopt;
+  }
+  std::shared_ptr<const MmapFile> mapping;
+  try {
+    mapping = std::make_shared<const MmapFile>(path);
+  } catch (const std::exception&) {
+    // Not corruption: the object vanished between resolve and open (a
+    // concurrent GC won the race; drop the dangling ref), or the process
+    // ran out of descriptors or mappings. Either way a plain miss.
+    if (!fs::exists(path, ec)) {
+      fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+    }
+    span.annotate("artifact unreadable");
+    return std::nullopt;
+  }
+  origin = std::make_shared<const DiskOrigin>(
+      DiskOrigin{path, mapping->device(), mapping->inode()});
+  ArtifactView view;
+  try {
+    view = parse_schedule_envelope(mapping->view());
+    // Header/trailer validation of the inner frame touches its first and
+    // last pages only; chunk payloads keep their own CRCs for the eventual
+    // decoder. An empty blob (a schedule with neither link nor path — never
+    // produced, but representable) has nothing to check.
+    if (view.blob_size > 0) {
+      (void)SchedBinReader::from_bytes(view.schedbin());
+    }
+  } catch (const std::exception&) {
+    quarantine(fingerprint, view, origin);
+    span.annotate("corrupt artifact quarantined");
+    return std::nullopt;
+  }
+  view.mapping = std::move(mapping);
+  // Refresh the artifact's age — but only where the GC will ever read it.
+  if (options_.max_disk_bytes > 0) {
+    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+  }
+  if (options_.max_memory_bytes > 0 &&
+      view.envelope.size() <= options_.max_memory_bytes) {
+    const ArtifactView copy =
+        on_heap(view, std::make_shared<const std::string>(view.envelope));
+    std::lock_guard<std::mutex> lock(mutex_);
+    admit_locked(fingerprint, copy, origin);
+  }
+  tier = Tier::kDisk;
+  span.annotate("disk hit (zero-copy)");
+  return view;
+}
+
+void ScheduleCache::count(Tier tier) {
+  A2A_COUNTER("cache.lookups").inc();
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.lookups;
+  switch (tier) {
+    case Tier::kMemory:
+      ++stats_.memory_hits;
+      A2A_COUNTER("cache.memory_hits").inc();
+      break;
+    case Tier::kDisk:
+      ++stats_.disk_hits;
+      A2A_COUNTER("cache.disk_hits").inc();
+      break;
+    case Tier::kMiss:
+      ++stats_.misses;
+      A2A_COUNTER("cache.misses").inc();
+      break;
+  }
+}
+
+void ScheduleCache::quarantine(const std::string& fingerprint,
+                               const ArtifactView& bad,
+                               const Origin& origin) {
+  bool moved = false;
+  if (origin) {
+    // Under disk_mutex_, so no insert() of this process renames a fresh
+    // artifact over the path between the identity check and the move.
+    std::lock_guard<std::mutex> disk_lock(disk_mutex_);
+    if (origin->current()) {
+      quarantine_object(options_.disk_dir, origin->path);
       std::error_code ec;
       fs::remove(ref_path(options_.disk_dir, fingerprint), ec);
+      moved = true;
     }
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  A2A_COUNTER("cache.misses").inc();
-  span.annotate("miss");
-  return std::nullopt;
+  if (const auto it = entries_.find(fingerprint);
+      it != entries_.end() &&
+      (it->second.view.envelope.data() == bad.envelope.data() ||
+       (origin && it->second.origin && *it->second.origin == *origin))) {
+    erase_locked(fingerprint);
+    A2A_GAUGE("cache.memory_bytes")
+        .set(static_cast<std::int64_t>(memory_bytes_));
+  }
+  if (moved) {
+    ++stats_.disk_corrupt;
+    A2A_COUNTER("cache.disk_corrupt").inc();
+  }
 }
 
 std::shared_ptr<const std::string> ScheduleCache::insert(
     const std::string& fingerprint, const GeneratedSchedule& schedule) {
   obs::TraceSpan span("cache.insert");
   A2A_COUNTER("cache.insertions").inc();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.insertions;
-    insert_memory_locked(fingerprint, schedule);
-  }
-  // The envelope is serialized even with the disk tier disabled: callers
-  // serving bytes (the broker's miss path) need it either way, and callers
-  // that don't simply drop the shared_ptr.
   auto bytes_ptr = std::make_shared<const std::string>(
       generated_schedule_to_bytes(schedule, options_.schedbin));
   const std::string& bytes = *bytes_ptr;
+  {
+    ArtifactView view = parse_schedule_envelope(bytes);
+    view.bytes = bytes_ptr;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.insertions;
+    admit_locked(fingerprint, view, {});
+  }
   if (options_.disk_dir.empty()) return bytes_ptr;
   // Serialization and file I/O stay outside the LRU mutex; disk_mutex_
   // serializes writers and the GC within this process, and atomic renames
@@ -631,7 +688,17 @@ std::shared_ptr<const std::string> ScheduleCache::insert(
     }
   }
   if (disk_total_ >= 0) A2A_GAUGE("cache.disk_bytes").set(disk_total_);
+  const auto identity = file_identity(obj.string());
   std::lock_guard<std::mutex> lock(mutex_);
+  // The resident entry is now backed by the artifact, so its memory hits
+  // keep the file's age fresh (see resolve()).
+  if (const auto it = entries_.find(fingerprint);
+      identity.has_value() && it != entries_.end() &&
+      it->second.view.bytes == bytes_ptr) {
+    it->second.origin = std::make_shared<const DiskOrigin>(
+        DiskOrigin{obj.string(), identity->first, identity->second});
+    it->second.checked = SteadyClock::now();
+  }
   if (wrote) {
     ++stats_.disk_writes;
     A2A_COUNTER("cache.disk_writes").inc();
@@ -735,55 +802,40 @@ void ScheduleCache::clear() {
   A2A_GAUGE("cache.memory_bytes").set(0);
 }
 
-void ScheduleCache::touch_locked(const std::string& fingerprint) {
-  const auto it = entries_.find(fingerprint);
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(fingerprint);
-  it->second.lru_it = lru_.begin();
-}
-
-void ScheduleCache::insert_memory_locked(const std::string& fingerprint,
-                                         const GeneratedSchedule& schedule) {
+void ScheduleCache::admit_locked(const std::string& fingerprint,
+                                 const ArtifactView& view,
+                                 Origin origin) {
   // max_memory_bytes == 0 disables the memory tier outright. Without this
   // gate every insert would be admitted and then immediately evicted by the
   // budget sweep below (pure churn), and a zero-budget promote-from-disk
   // would do the same on every disk hit.
   if (options_.max_memory_bytes == 0) return;
-  const std::size_t bytes = schedule_memory_bytes(schedule);
-  const auto it = entries_.find(fingerprint);
-  if (bytes > options_.max_memory_bytes) {
-    // Larger than the whole budget: can never be resident. Also drop any
-    // smaller stale version so a hit cannot serve outdated data.
-    if (it != entries_.end()) {
-      memory_bytes_ -= it->second.bytes;
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-      A2A_GAUGE("cache.memory_bytes")
-          .set(static_cast<std::int64_t>(memory_bytes_));
-    }
-    return;
+  // A newer envelope replaces any older one; one larger than the whole
+  // budget can never be resident, and the stale version goes regardless so
+  // a hit cannot serve outdated data.
+  erase_locked(fingerprint);
+  if (view.envelope.size() <= options_.max_memory_bytes) {
+    lru_.push_front(fingerprint);
+    entries_.emplace(fingerprint,
+                     Entry{view, std::move(origin), SteadyClock::now(),
+                           lru_.begin()});
+    memory_bytes_ += view.envelope.size();
   }
-  if (it != entries_.end()) {
-    memory_bytes_ -= it->second.bytes;
-    it->second.schedule = schedule;
-    it->second.bytes = bytes;
-    memory_bytes_ += bytes;
-    touch_locked(fingerprint);
-    evict_over_budget_locked();
-    return;
-  }
-  lru_.push_front(fingerprint);
-  entries_.emplace(fingerprint, Entry{schedule, bytes, lru_.begin()});
-  memory_bytes_ += bytes;
   evict_over_budget_locked();
+}
+
+void ScheduleCache::erase_locked(const std::string& fingerprint) {
+  const auto it = entries_.find(fingerprint);
+  if (it == entries_.end()) return;
+  memory_bytes_ -= it->second.view.envelope.size();
+  const auto lru_it = it->second.lru_it;
+  entries_.erase(it);
+  lru_.erase(lru_it);  // last: `fingerprint` may refer into this node.
 }
 
 void ScheduleCache::evict_over_budget_locked() {
   while (memory_bytes_ > options_.max_memory_bytes) {
-    const auto it = entries_.find(lru_.back());
-    memory_bytes_ -= it->second.bytes;
-    entries_.erase(it);
-    lru_.pop_back();
+    erase_locked(lru_.back());
     ++stats_.memory_evictions;
     A2A_COUNTER("cache.memory_evictions").inc();
   }

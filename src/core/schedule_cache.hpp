@@ -6,9 +6,12 @@
 // results by a fingerprint of the request's canonical form and serves them
 // from two tiers:
 //
-//   * an in-memory LRU of decoded GeneratedSchedule values, evicted by a
-//     decoded-size byte budget (schedules vary by 1000x in size; counting
-//     entries lets a handful of Fig. 10 monsters blow the heap), and
+//   * an in-memory LRU of serialized envelopes (ArtifactViews over heap
+//     buffers: the one insert() wrote, or a copy of a disk hit), evicted by
+//     an envelope-size byte budget (schedules vary by 1000x in size; counting
+//     entries lets a handful of Fig. 10 monsters blow the heap). This is the
+//     process's only in-memory schedule tier: the service serves its bytes
+//     as they are, and lookup() decodes them on the way out; and
 //   * an optional on-disk tier of SchedBin-based entry files, so a fleet of
 //     processes (or a restarted one) shares compiled artifacts. Disk
 //     entries are content-addressed: the artifact file is keyed by a hash
@@ -22,6 +25,7 @@
 // tests and monitoring.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -37,11 +41,12 @@
 namespace a2a {
 
 struct ScheduleCacheOptions {
-  /// Byte budget for the in-memory LRU tier, accounted in decoded schedule
-  /// size (see schedule_memory_bytes). 0 disables the memory tier: every
-  /// lookup goes to the disk tier (when configured) and nothing is retained
-  /// in memory — useful for memory-constrained fleets sharing a disk cache.
-  /// An entry larger than the whole budget is never admitted.
+  /// Byte budget for the in-memory LRU tier, accounted in serialized
+  /// envelope bytes (generated_schedule_to_bytes(s).size()). 0 disables the
+  /// memory tier: every lookup goes to the disk tier (when configured) and
+  /// nothing is retained in memory — useful for memory-constrained fleets
+  /// sharing a disk cache. An entry larger than the whole budget is never
+  /// admitted.
   std::size_t max_memory_bytes = 256ULL << 20;
   /// Directory for the on-disk tier ("" disables it). Created on first use;
   /// holds `objects/` (content-addressed artifacts) and `refs/`
@@ -74,19 +79,16 @@ struct ScheduleCacheStats {
   /// Inserts skipped because the artifact alone exceeds max_disk_bytes
   /// (writing it would be evicted right back — pure churn).
   std::uint64_t disk_oversize_rejections = 0;
-  /// Disk artifacts that failed to decode on lookup (truncated write,
-  /// bit-rot, foreign bytes). Each is moved into `<disk_dir>/quarantine/`
-  /// — preserved for forensics, never served again — its ref dropped, and
-  /// the lookup degrades to a miss so the caller re-synthesizes.
+  /// Disk artifacts that failed to parse or decode on lookup (truncated
+  /// write, bit-rot, foreign bytes). Each is moved into
+  /// `<disk_dir>/quarantine/` — preserved for forensics, never served
+  /// again — its ref dropped, and the lookup degrades to a miss so the
+  /// caller re-synthesizes. An artifact that merely cannot be opened or
+  /// mapped is a plain miss and is not counted.
   std::uint64_t disk_corrupt = 0;
 
   [[nodiscard]] std::uint64_t hits() const { return memory_hits + disk_hits; }
 };
-
-/// Deterministic estimate of the resident bytes of a decoded schedule
-/// (vectors' elements, notes, graph adjacency). This is what the memory
-/// tier's byte budget accounts, exposed so callers can size budgets.
-[[nodiscard]] std::size_t schedule_memory_bytes(const GeneratedSchedule& s);
 
 /// Fingerprint of a generate_schedule() request: a 128-bit hash (32 hex
 /// chars) over the topology's canonical form (node count + sorted edge list
@@ -106,8 +108,8 @@ struct ScheduleCacheStats {
 /// page cache to a socket, and the client's SchedBinReader decodes chunks
 /// on demand with per-chunk CRCs.
 struct ArtifactView {
-  std::shared_ptr<const MmapFile> mapping;     ///< disk-tier hits.
-  std::shared_ptr<const std::string> bytes;    ///< freshly serialized results.
+  std::shared_ptr<const MmapFile> mapping;     ///< a disk-tier hit.
+  std::shared_ptr<const std::string> bytes;    ///< a memory-tier entry.
   std::string_view envelope;                   ///< the whole SBCE envelope.
   std::size_t blob_offset = 0;                 ///< inner SchedBin frame start.
   std::size_t blob_size = 0;
@@ -138,32 +140,40 @@ class ScheduleCache {
   ScheduleCache(const ScheduleCache&) = delete;
   ScheduleCache& operator=(const ScheduleCache&) = delete;
 
-  /// Returns the cached schedule for `fingerprint`, checking memory then
-  /// disk. A disk hit is promoted into the memory tier.
+  /// lookup_artifact() plus a decode of the envelope. A payload that fails
+  /// to decode goes through the same corrupt-artifact contract as a disk
+  /// read: quarantined, ref dropped, evicted from memory, counted once in
+  /// disk_corrupt, and the lookup is a miss.
   [[nodiscard]] std::optional<GeneratedSchedule> lookup(
       const std::string& fingerprint);
 
-  /// Zero-copy lookup: resolves `fingerprint` to its disk artifact, mmaps
-  /// it, validates the inner SchedBin frame's header/trailer (a few pages,
-  /// not the whole file) and returns the view — the decoded memory tier is
-  /// neither consulted nor populated, so the hot serving path never pays a
-  /// decode. A corrupt artifact is quarantined exactly as in lookup() and
-  /// the call degrades to a miss. Counts into the same lookup/hit/miss
-  /// stats as lookup(). Always a miss when the disk tier is disabled.
+  /// Zero-copy lookup, never a decode. A memory hit returns the resident
+  /// heap view with no trace span, and with no syscall except that an
+  /// entry backed by a disk artifact checks that artifact at most once a
+  /// second: it refreshes the artifact's mtime for the disk GC, and drops
+  /// the entry (re-resolving from disk) when another process has
+  /// garbage-collected, quarantined or replaced the file. Otherwise the
+  /// fingerprint is resolved to its disk artifact, which is mmapped and its
+  /// inner SchedBin frame's header/trailer validated (a few pages, not the
+  /// whole file); this call serves the mapping, and the memory tier admits
+  /// a heap copy. An artifact that fails to parse is quarantined and the
+  /// call degrades to a miss; one that cannot be opened or mapped is a
+  /// plain miss.
   [[nodiscard]] std::optional<ArtifactView> lookup_artifact(
       const std::string& fingerprint);
 
-  /// Stores `schedule` in the memory tier (evicting LRU entries past the
-  /// byte budget) and, when a disk_dir is configured, writes (or dedups
-  /// against) the content-addressed artifact and its ref file. Returns the
-  /// serialized envelope so callers that serve bytes (the ScheduleBroker)
-  /// reuse the exact artifact written instead of re-encoding.
+  /// Serializes `schedule`, stores the envelope in the memory tier
+  /// (evicting LRU entries past the byte budget) and, when a disk_dir is
+  /// configured, writes (or dedups against) the content-addressed artifact
+  /// and its ref file. Returns the serialized envelope — the very buffer the
+  /// memory tier holds — so callers that serve bytes (the ScheduleBroker)
+  /// reuse the exact artifact instead of re-encoding.
   std::shared_ptr<const std::string> insert(const std::string& fingerprint,
                                             const GeneratedSchedule& schedule);
 
   [[nodiscard]] ScheduleCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
-  /// Decoded bytes currently held by the memory tier.
+  /// Envelope bytes currently held by the memory tier.
   [[nodiscard]] std::size_t memory_bytes() const;
   void clear();  ///< drops the memory tier only; disk entries persist.
 
@@ -177,9 +187,36 @@ class ScheduleCache {
   [[nodiscard]] std::size_t disk_bytes() const;
 
  private:
-  void touch_locked(const std::string& fingerprint);
-  void insert_memory_locked(const std::string& fingerprint,
-                            const GeneratedSchedule& schedule);
+  enum class Tier { kMemory, kDisk, kMiss };
+  /// The disk artifact an envelope was read from (or written to): its path
+  /// and the identity (st_dev, st_ino) of that file. An empty path means
+  /// the bytes have no artifact (memory-only cache, oversize write skipped).
+  struct DiskOrigin {
+    std::string path;
+    std::uint64_t device = 0;
+    std::uint64_t inode = 0;
+    bool operator==(const DiskOrigin&) const = default;
+    /// Whether `path` still names that file.
+    [[nodiscard]] bool current() const;
+  };
+  /// Shared, so a memory hit hands it out without copying the path.
+  using Origin = std::shared_ptr<const DiskOrigin>;
+  /// Memory tier, then disk tier (promoting a disk hit). Counts nothing;
+  /// the public lookups count the tier they finally report. `origin` is
+  /// set to where the returned bytes came from (null: no disk artifact).
+  std::optional<ArtifactView> resolve(const std::string& fingerprint,
+                                      Tier& tier, Origin& origin);
+  void count(Tier tier);
+  /// The one corrupt-artifact handler, for bytes `bad` read from `origin`.
+  /// Moves the artifact into quarantine/ and drops the fingerprint's ref —
+  /// but only while `origin` is current(), not
+  /// one a concurrent insert() renamed over it — counting disk_corrupt once
+  /// per moved artifact. Evicts the memory entry holding those bytes.
+  void quarantine(const std::string& fingerprint, const ArtifactView& bad,
+                  const Origin& origin);
+  void admit_locked(const std::string& fingerprint, const ArtifactView& view,
+                    Origin origin);
+  void erase_locked(const std::string& fingerprint);
   void evict_over_budget_locked();
   void gc_disk();  ///< enforces max_disk_bytes; caller holds disk_mutex_.
 
@@ -188,8 +225,13 @@ class ScheduleCache {
   /// MRU-first list of fingerprints plus value map (classic LRU pairing).
   std::list<std::string> lru_;
   struct Entry {
-    GeneratedSchedule schedule;
-    std::size_t bytes = 0;
+    /// Always heap bytes, never a mapping: mappings are a scarce
+    /// per-process resource and pin whole pages the budget would not see.
+    /// Its budget charge is view.envelope.size().
+    ArtifactView view;
+    Origin origin;
+    /// Last check of `origin` against the disk (see resolve()).
+    std::chrono::steady_clock::time_point checked;
     std::list<std::string>::iterator lru_it;
   };
   std::unordered_map<std::string, Entry> entries_;

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <set>
 
 #include "common/random.hpp"
@@ -19,11 +18,10 @@
 #include "graph/topologies.hpp"
 #include "runtime/fabric.hpp"
 #include "schedule/validate.hpp"
+#include "temp_dir.hpp"
 
 namespace a2a {
 namespace {
-
-namespace fs = std::filesystem;
 
 Fabric forwarding_fabric() { return hpc_cerio_fabric(); }
 
@@ -279,15 +277,12 @@ TEST(FailoverPrecompute, DomainBatchStoresValidatedFallbacks) {
 
 TEST(FailoverPrecompute, DiskLibrarySurvivesManagerRestart) {
   const DiGraph g = make_generalized_kautz(10, 3);
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("a2a_failover_lib_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
+  const TempDir dir("a2a_failover_lib_");
   FailureSignature sig;
   sig.edges = {3};
   {
     FailoverOptions opts;
-    opts.library_dir = dir.string();
+    opts.library_dir = dir.path.string();
     FailoverManager mgr(g, forwarding_fabric(), opts);
     const FailoverResult r = mgr.reschedule(sig, 5.0);
     EXPECT_EQ(r.rung, FailoverRung::kDualWarmExact);
@@ -296,13 +291,12 @@ TEST(FailoverPrecompute, DiskLibrarySurvivesManagerRestart) {
     // A fresh manager (fresh memory tier) over the same directory serves
     // the persisted fallback without re-solving.
     FailoverOptions opts;
-    opts.library_dir = dir.string();
+    opts.library_dir = dir.path.string();
     FailoverManager mgr(g, forwarding_fabric(), opts);
     const FailoverResult r = mgr.reschedule(sig, 5.0);
     EXPECT_EQ(r.rung, FailoverRung::kPrecomputedHit);
     EXPECT_TRUE(r.validated);
   }
-  fs::remove_all(dir);
 }
 
 // ------------------------------------------------- fault injection ------

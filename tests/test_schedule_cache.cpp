@@ -11,29 +11,12 @@
 
 #include "graph/topologies.hpp"
 #include "runtime/fabric.hpp"
+#include "temp_dir.hpp"
 
 namespace a2a {
 namespace {
 
 namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("a2a_cache_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter()++));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
-};
 
 /// Synthetic schedule whose memory footprint scales with `transfers` and
 /// whose serialized content is distinguished by `tag` — precise byte-budget
@@ -53,6 +36,11 @@ GeneratedSchedule make_sized(int transfers, int tag) {
   s.terminals = {0, 1, 2, 3};
   s.notes = "synthetic";
   return s;
+}
+
+/// What one schedule charges against the memory tier's byte budget.
+std::size_t envelope_bytes(const GeneratedSchedule& s) {
+  return generated_schedule_to_bytes(s).size();
 }
 
 TEST(Fingerprint, StableAndSensitive) {
@@ -127,8 +115,8 @@ TEST(ScheduleCache, ByteBudgetEvictsLruOldest) {
   const GeneratedSchedule a = make_sized(100, 1);
   const GeneratedSchedule b = make_sized(100, 2);
   const GeneratedSchedule c = make_sized(100, 3);
-  const std::size_t each = schedule_memory_bytes(a);
-  ASSERT_EQ(each, schedule_memory_bytes(b));
+  const std::size_t each = envelope_bytes(a);
+  ASSERT_EQ(each, envelope_bytes(b));
 
   ScheduleCacheOptions options;
   options.max_memory_bytes = 2 * each;  // room for exactly two
@@ -151,8 +139,8 @@ TEST(ScheduleCache, MixedSizeEvictionFreesEnoughBytes) {
   // One large insert must evict as many small LRU entries as it takes.
   const GeneratedSchedule small = make_sized(50, 1);
   const GeneratedSchedule large = make_sized(400, 2);
-  const std::size_t small_bytes = schedule_memory_bytes(small);
-  const std::size_t large_bytes = schedule_memory_bytes(large);
+  const std::size_t small_bytes = envelope_bytes(small);
+  const std::size_t large_bytes = envelope_bytes(large);
   ASSERT_GT(large_bytes, 3 * small_bytes);
 
   ScheduleCacheOptions options;
@@ -176,7 +164,7 @@ TEST(ScheduleCache, BudgetExactlyMetKeepsEntries) {
   const GeneratedSchedule a = make_sized(64, 1);
   const GeneratedSchedule b = make_sized(64, 2);
   ScheduleCacheOptions options;
-  options.max_memory_bytes = schedule_memory_bytes(a) + schedule_memory_bytes(b);
+  options.max_memory_bytes = envelope_bytes(a) + envelope_bytes(b);
   ScheduleCache cache(options);
   cache.insert("a", a);
   cache.insert("b", b);
@@ -192,7 +180,7 @@ TEST(ScheduleCache, BudgetExactlyMetKeepsEntries) {
 TEST(ScheduleCache, SingleEntryLargerThanBudgetNeverAdmitted) {
   const GeneratedSchedule big = make_sized(1000, 1);
   ScheduleCacheOptions options;
-  options.max_memory_bytes = schedule_memory_bytes(big) - 1;
+  options.max_memory_bytes = envelope_bytes(big) - 1;
   ScheduleCache cache(options);
   cache.insert("big", big);
   EXPECT_EQ(cache.size(), 0u);
@@ -521,7 +509,7 @@ TEST(ScheduleCache, EnvelopeRoundTripsPathSchedules) {
   // A path-kind GeneratedSchedule (NIC-forwarding fabric) through the disk
   // envelope: graph, terminals, notes, vc layers and bit-exact weights.
   const DiGraph g = make_hypercube(3);
-  const GeneratedSchedule original = generate_schedule(g, hpc_cerio_fabric(), {});
+  const GeneratedSchedule original = synthesize_schedule(g, hpc_cerio_fabric());
   ASSERT_TRUE(original.path.has_value());
   const std::string bytes = generated_schedule_to_bytes(original);
   const GeneratedSchedule decoded = generated_schedule_from_bytes(bytes);
@@ -572,13 +560,40 @@ TEST(ScheduleCache, InsertReturnsTheExactEnvelopeWritten) {
             static_cast<std::uint64_t>(schedule.link->transfers.size()));
 }
 
-TEST(ScheduleCache, LookupArtifactServesMmapWithoutDecode) {
+TEST(ScheduleCache, MemoryHitServesInsertedHeapBytes) {
   const TempDir dir;
   ScheduleCacheOptions options;
   options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(options));
   const GeneratedSchedule schedule = make_sized(80, 4);
   const auto bytes = cache.insert("fp", schedule);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size());
+
+  // The memory tier holds insert()'s very buffer: no disk hit, no mmap.
+  const auto view = cache.lookup_artifact("fp");
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->bytes, bytes);
+  EXPECT_FALSE(view->mapping);
+  EXPECT_EQ(view->envelope.data(), bytes->data());
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
+  // lookup() decodes the same envelope.
+  const auto decoded = cache.lookup("fp");
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->link->transfers.size(), schedule.link->transfers.size());
+  EXPECT_EQ(cache.stats().memory_hits, 2u);
+
+  EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ScheduleCache, DiskHitServesMmapAndIsPromoted) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  ScheduleCache cache(std::move(options));
+  const auto bytes = cache.insert("fp", make_sized(80, 4));
+  cache.clear();  // as if another process had written the artifact.
 
   const auto view = cache.lookup_artifact("fp");
   ASSERT_TRUE(view.has_value());
@@ -586,14 +601,180 @@ TEST(ScheduleCache, LookupArtifactServesMmapWithoutDecode) {
   EXPECT_FALSE(view->bytes);
   EXPECT_EQ(std::string(view->envelope), *bytes);
   EXPECT_EQ(cache.stats().disk_hits, 1u);
-  // The artifact path stays byte-path only: the decoded memory tier was
-  // neither consulted nor populated.
-  EXPECT_EQ(cache.size(), 1u);  // insert() populated it...
-  cache.clear();
-  EXPECT_TRUE(cache.lookup_artifact("fp").has_value());
-  EXPECT_EQ(cache.size(), 0u);  // ...lookup_artifact() does not.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.memory_bytes(), bytes->size());
 
-  EXPECT_FALSE(cache.lookup_artifact("absent").has_value());
+  // The memory tier keeps a heap copy, never the mapping: the repeat is a
+  // memory hit on bytes that outlive the disk hit's view.
+  const auto again = cache.lookup_artifact("fp");
+  ASSERT_TRUE(again.has_value());
+  EXPECT_FALSE(again->mapping);
+  ASSERT_TRUE(again->bytes);
+  EXPECT_EQ(*again->bytes, *bytes);
+  EXPECT_EQ(again->envelope.data(), again->bytes->data());
+  EXPECT_EQ(again->schedbin(), view->schedbin());
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+}
+
+TEST(ScheduleCache, UnmappableArtifactIsAPlainMissNotQuarantined) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  ScheduleCache cache(std::move(options));
+  cache.insert("fp", make_sized(80, 8));
+  cache.clear();
+  const std::string path = cache.entry_path("fp");
+  ASSERT_FALSE(path.empty());
+  // A directory in the artifact's place opens but cannot be mapped: the
+  // same failure as running out of descriptors or mappings, which says
+  // nothing about the artifact's bytes.
+  fs::remove(path);
+  fs::create_directory(path);
+  std::ofstream(fs::path(path) / "filler") << "x";
+
+  EXPECT_FALSE(cache.lookup_artifact("fp").has_value());
+  EXPECT_FALSE(cache.lookup("fp").has_value());
+  const ScheduleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.disk_corrupt, 0u);
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(dir.path / "quarantine"));
+  EXPECT_EQ(cache.entry_path("fp"), path);  // the ref is kept.
+}
+
+TEST(ScheduleCache, ManyFingerprintsWithinBudgetAreAllMemoryHits) {
+  // More entries than any fixed-count LRU would keep: the byte budget is
+  // the only limit.
+  constexpr int kEntries = 100;
+  const GeneratedSchedule schedule = make_sized(40, 0);
+  ScheduleCacheOptions options;
+  options.max_memory_bytes = kEntries * envelope_bytes(schedule);
+  ScheduleCache cache(options);
+  for (int i = 0; i < kEntries; ++i) {
+    cache.insert("fp" + std::to_string(i), schedule);
+  }
+  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kEntries));
+  for (int i = 0; i < kEntries; ++i) {
+    const auto view = cache.lookup_artifact("fp" + std::to_string(i));
+    ASSERT_TRUE(view.has_value()) << i;
+    EXPECT_TRUE(view->bytes);
+  }
+  EXPECT_EQ(cache.stats().memory_hits, static_cast<std::uint64_t>(kEntries));
+  EXPECT_EQ(cache.stats().memory_evictions, 0u);
+}
+
+TEST(ScheduleCache, CorruptPayloadReachedByLookupIsQuarantinedOnce) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  const GeneratedSchedule schedule = make_sized(200, 6);
+  const std::string path = [&] {
+    ScheduleCache writer(options);
+    writer.insert("fp", schedule);
+    return writer.entry_path("fp");
+  }();
+  ASSERT_FALSE(path.empty());
+  // Flip a byte inside the inner frame's chunk payload: the envelope still
+  // parses and the frame's header/trailer still validate, so only a decode
+  // can tell.
+  const std::string original = generated_schedule_to_bytes(schedule);
+  const ArtifactView geometry = parse_schedule_envelope(original);
+  const std::size_t payload_byte =
+      geometry.blob_offset + geometry.blob_size / 2;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(payload_byte));
+    f.put(static_cast<char>(original[payload_byte] ^ 0x5A));
+  }
+
+  ScheduleCache cache(options);
+  // The byte path serves it (no decode) and promotes it into memory...
+  ASSERT_TRUE(cache.lookup_artifact("fp").has_value());
+  EXPECT_EQ(cache.size(), 1u);
+  // ...and lookup()'s decode catches it: quarantined, evicted, a miss.
+  EXPECT_FALSE(cache.lookup("fp").has_value());
+  EXPECT_EQ(cache.stats().disk_corrupt, 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.memory_bytes(), 0u);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_TRUE(
+      fs::exists(dir.path / "quarantine" / fs::path(path).filename()));
+  EXPECT_TRUE(cache.entry_path("fp").empty());
+  // A second lookup is a plain miss, not a second quarantine.
+  EXPECT_FALSE(cache.lookup("fp").has_value());
+  const ScheduleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.disk_corrupt, 1u);
+  EXPECT_EQ(stats.lookups, 3u);
+  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(ScheduleCache, CorruptCopyOfAReplacedArtifactIsNotQuarantined) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  const GeneratedSchedule schedule = make_sized(200, 10);
+  const std::string good = generated_schedule_to_bytes(schedule);
+  ScheduleCache cache(options);
+  cache.insert("fp", schedule);
+  cache.clear();
+  const std::string path = cache.entry_path("fp");
+  ASSERT_FALSE(path.empty());
+  // Corrupt a chunk payload byte in place, and let the cache read it: the
+  // byte path promotes a copy of the bad bytes into memory.
+  const ArtifactView geometry = parse_schedule_envelope(good);
+  const std::size_t payload_byte =
+      geometry.blob_offset + geometry.blob_size / 2;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(payload_byte));
+    f.put(static_cast<char>(good[payload_byte] ^ 0x5A));
+  }
+  ASSERT_TRUE(cache.lookup_artifact("fp").has_value());
+  // Another writer heals the object: a fresh file renamed over the path.
+  {
+    const std::string tmp = path + ".rewrite";
+    std::ofstream(tmp, std::ios::binary) << good;
+    fs::rename(tmp, path);
+  }
+  // Whatever lookup() decodes — the stale copy, or the healed file once
+  // the copy is revalidated — the healed file is never quarantined.
+  (void)cache.lookup("fp");
+  EXPECT_EQ(cache.stats().disk_corrupt, 0u);
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(dir.path / "quarantine"));
+  const auto healed = cache.lookup("fp");
+  ASSERT_TRUE(healed.has_value());
+  EXPECT_EQ(healed->link->transfers.size(), schedule.link->transfers.size());
+}
+
+TEST(ScheduleCache, ResidentEntriesRevalidateTheirDiskArtifact) {
+  const TempDir dir;
+  ScheduleCacheOptions options;
+  options.disk_dir = dir.path.string();
+  options.max_disk_bytes = 1ULL << 30;  // the GC reads mtimes.
+  ScheduleCache cache(std::move(options));
+  cache.insert("kept", make_sized(50, 11));
+  cache.insert("gone", make_sized(50, 12));
+  const std::string kept = cache.entry_path("kept");
+  const std::string gone = cache.entry_path("gone");
+  ASSERT_FALSE(kept.empty());
+  ASSERT_FALSE(gone.empty());
+  const auto old = fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(kept, old);
+  fs::remove(gone);  // another process's GC or quarantine.
+  // Past the once-a-second check, a memory hit refreshes the served
+  // artifact's age, and a copy whose artifact vanished is dropped.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  ASSERT_TRUE(cache.lookup_artifact("kept").has_value());
+  EXPECT_GT(fs::last_write_time(kept), old + std::chrono::minutes(30));
+  EXPECT_FALSE(cache.lookup_artifact("gone").has_value());
+  const ScheduleCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.memory_hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.entry_path("gone").empty());  // dangling ref dropped.
 }
 
 TEST(ScheduleCache, LookupArtifactQuarantinesCorruptObjects) {
@@ -602,6 +783,7 @@ TEST(ScheduleCache, LookupArtifactQuarantinesCorruptObjects) {
   options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(options));
   cache.insert("fp", make_sized(80, 5));
+  cache.clear();  // serve from disk, not insert()'s heap bytes.
   const std::string path = cache.entry_path("fp");
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -630,8 +812,8 @@ TEST(ScheduleCache, ConcurrentHammerStaysConsistent) {
   }
   ScheduleCacheOptions options;
   options.disk_dir = dir.path.string();
-  options.max_memory_bytes = 64 * 1024;       // forces LRU evictions.
-  options.max_disk_bytes = artifact_bytes * 3;  // forces disk GC.
+  options.max_memory_bytes = artifact_bytes * 3;  // forces LRU evictions.
+  options.max_disk_bytes = artifact_bytes * 3;    // forces disk GC.
   ScheduleCache cache(std::move(options));
 
   constexpr int kThreads = 8;
@@ -681,7 +863,8 @@ TEST(ScheduleCache, ConcurrentHammerStaysConsistent) {
   EXPECT_GT(served.load(), 0);
   EXPECT_EQ(stats.disk_corrupt, 0u);
   // The budgets held despite the concurrency.
-  EXPECT_LE(cache.memory_bytes(), 64u * 1024u);
+  EXPECT_GT(stats.memory_evictions, 0u);
+  EXPECT_LE(cache.memory_bytes(), artifact_bytes * 3);
   EXPECT_LE(cache.disk_bytes(), artifact_bytes * 3);
 }
 

@@ -11,13 +11,11 @@
 
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "container/schedbin.hpp"
 #include "core/api.hpp"
 #include "core/schedule_cache.hpp"
@@ -25,29 +23,10 @@
 #include "service/admission.hpp"
 #include "service/request.hpp"
 #include "service/server.hpp"
+#include "temp_dir.hpp"
 
 namespace a2a {
 namespace {
-
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("a2a_service_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter()++));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
-};
 
 /// Mints a fingerprint no other test has used: path_diversity_threshold is
 /// fingerprint-relevant but, at values far above any small topology's
@@ -166,8 +145,7 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
 
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -211,8 +189,8 @@ TEST(ScheduleBroker, ConcurrentIdenticalRequestsRunOneSynthesis) {
 }
 
 TEST(ScheduleBroker, LeaderFailurePropagatesAndClearsTheSlot) {
-  ThreadPool pool(4);
-  service::ScheduleBroker broker(nullptr, &pool);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
 
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -250,7 +228,7 @@ TEST(ScheduleBroker, LeaderFailurePropagatesAndClearsTheSlot) {
   EXPECT_FALSE(result.hit);
 }
 
-TEST(ScheduleBroker, HitsAreServedFromHotTierWithoutCacheTraffic) {
+TEST(ScheduleBroker, HitsAreServedFromTheCacheMemoryTier) {
   TempDir dir;
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
@@ -265,11 +243,51 @@ TEST(ScheduleBroker, HitsAreServedFromHotTierWithoutCacheTraffic) {
   ASSERT_TRUE(miss.view.valid());
   EXPECT_TRUE(miss.view.bytes);  // miss path serves the bytes insert() wrote.
 
-  const std::uint64_t cache_lookups_before = cache.stats().lookups;
+  const ScheduleCacheStats before = cache.stats();
   const auto hit = broker.request(topo, fabric, options);
   EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(cache.stats().lookups, cache_lookups_before);  // hot tier only.
+  // The very heap buffer insert() produced: no disk hit, no mmap.
+  EXPECT_EQ(hit.view.bytes, miss.view.bytes);
+  EXPECT_FALSE(hit.view.mapping);
+  const ScheduleCacheStats after = cache.stats();
+  EXPECT_EQ(after.memory_hits, before.memory_hits + 1);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);
   EXPECT_EQ(std::string(hit.view.envelope), std::string(miss.view.envelope));
+}
+
+TEST(ScheduleBroker, MoreThanSixtyFourFingerprintsAllHitMemory) {
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
+  const GeneratedSchedule schedule =
+      synthesize_schedule(make_ring(6), hpc_cerio_fabric());
+  constexpr int kFingerprints = 100;
+  for (int i = 0; i < kFingerprints; ++i) {
+    cache.insert("fp" + std::to_string(i), schedule);
+  }
+  for (int i = 0; i < kFingerprints; ++i) {
+    const auto view = broker.try_lookup("fp" + std::to_string(i));
+    ASSERT_TRUE(view.has_value()) << i;
+    EXPECT_TRUE(view->bytes);
+  }
+  EXPECT_EQ(cache.stats().memory_hits,
+            static_cast<std::uint64_t>(kFingerprints));
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(ScheduleBroker, MemoryOnlyCacheServesRepeatAsHit) {
+  ScheduleCache cache;  // no disk_dir: the memory tier alone.
+  service::ScheduleBroker broker(&cache, nullptr);
+  const DiGraph topo = make_ring(6);
+  const Fabric fabric = hpc_cerio_fabric();
+  const ToolchainOptions options = fresh_options();
+
+  const std::uint64_t runs_before = pipeline_invocations();
+  const auto miss = broker.request(topo, fabric, options);
+  EXPECT_FALSE(miss.hit);
+  const auto hit = broker.request(topo, fabric, options);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(pipeline_invocations() - runs_before, 1u);
+  EXPECT_EQ(hit.view.schedbin(), miss.view.schedbin());
 }
 
 TEST(ScheduleBroker, ColdBrokerServesMmapViewFromDiskTier) {
@@ -333,7 +351,8 @@ TEST(AdmissionQueue, ServesHitsAndRejectsMissesWhenQueueFull) {
 }
 
 TEST(AdmissionQueue, ExpiredDeadlineIsShedNotFailed) {
-  service::ScheduleBroker broker(nullptr, nullptr);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admit(&broker);
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -345,7 +364,8 @@ TEST(AdmissionQueue, ExpiredDeadlineIsShedNotFailed) {
 }
 
 TEST(AdmissionQueue, UnmeetableDeadlineIsShedUpfrontViaEwma) {
-  service::ScheduleBroker broker(nullptr, nullptr);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admit(&broker);
   const DiGraph topo = make_ring(6);
   const Fabric fabric = hpc_cerio_fabric();
@@ -403,8 +423,7 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
   ScheduleCacheOptions cache_options;
   cache_options.disk_dir = dir.path.string();
   ScheduleCache cache(std::move(cache_options));
-  ThreadPool pool(2);
-  service::ScheduleBroker broker(&cache, &pool);
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
   service::ServerOptions server_options;
   server_options.port = 0;
@@ -428,7 +447,7 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
                         sizeof kSchedBinMagic),
             0);
 
-  // Same request again: a hit served from bytes already on disk.
+  // Same request again: a hit served from the cache's memory tier.
   const std::string again = http_request(
       server.port(), "GET", "/schedule?topology=ring&nodes=6");
   EXPECT_NE(again.find("X-A2A-Hit: 1"), std::string::npos);
@@ -482,7 +501,8 @@ TEST(ScheduleServer, RoundTripServesSchedBinAndMetrics) {
 }
 
 TEST(ScheduleServer, DeadlineQueryIsHonored) {
-  service::ScheduleBroker broker(nullptr, nullptr);
+  ScheduleCache cache;
+  service::ScheduleBroker broker(&cache, nullptr);
   service::AdmissionQueue admission(&broker);
   service::ServerOptions server_options;
   server_options.port = 0;
